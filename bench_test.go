@@ -15,14 +15,18 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sync"
 	"testing"
 
 	"dotprov/internal/bench"
 	"dotprov/internal/catalog"
 	"dotprov/internal/core"
 	"dotprov/internal/device"
+	"dotprov/internal/engine"
 	"dotprov/internal/iosim"
 	"dotprov/internal/online"
+	"dotprov/internal/profiler"
+	"dotprov/internal/tpch"
 	"dotprov/internal/types"
 	"dotprov/internal/workload"
 )
@@ -182,6 +186,80 @@ func BenchmarkExhaustive(b *testing.B) {
 			})
 		})
 	}
+}
+
+// BenchmarkSec443Exhaustive times one cold §4.4.3 exhaustive search: the
+// 3^8 layouts of the TPC-H subset on Box 1 at relative SLA 0.5, priced by
+// the plan-aware DSS estimator. Every iteration builds a fresh estimator,
+// so its per-query plan memo starts empty. Besides evaluated (6561) and
+// ns/candidate it reports plans/op: the distinct (query, footprint
+// projection) pairs the search asks the estimator for, which is what a
+// cold memo plans — Σ_q 3^{k_q} = 5,913, against 33 × 6,561 = 216,513 plans
+// for re-planning every query per layout. The count comes from one extra
+// untimed search through a projection-recording decorator.
+func BenchmarkSec443Exhaustive(b *testing.B) {
+	opts := bench.Quick()
+	db := engine.New(device.Box1(), engine.DefaultPoolPages)
+	cfg := tpch.Config{ScaleFactor: opts.TpchSF, Seed: opts.TpchSeed}
+	if err := tpch.BuildSubset(db, cfg); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.SetLayout(catalog.NewUniformLayout(db.Cat, device.HSSD)); err != nil {
+		b.Fatal(err)
+	}
+	w := tpch.SubsetWorkload(cfg, opts.TpchSeed+1)
+	ps, err := profiler.ProfileDSSEstimates(db, w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	search := func(est workload.Estimator) *core.Result {
+		in := core.Input{Cat: db.Cat, Box: db.Box, Est: est, Profiles: ps, Concurrency: 1}
+		res, err := core.Exhaustive(in, core.Options{RelativeSLA: 0.5})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	rec := &projectionRecorder{est: w.Estimator(db), seen: map[string]bool{}}
+	for _, q := range w.Queries {
+		objs, err := db.Optimizer().Footprint(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec.footprints = append(rec.footprints, objs)
+	}
+	search(rec)
+	b.ResetTimer()
+	var res *core.Result
+	for i := 0; i < b.N; i++ {
+		res = search(w.Estimator(db))
+	}
+	b.ReportMetric(float64(len(rec.seen)), "plans/op")
+	b.ReportMetric(float64(res.Evaluated), "evaluated")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(res.Evaluated), "ns/candidate")
+}
+
+// projectionRecorder decorates an estimator with the set of distinct
+// (query, footprint projection) pairs it was asked to price. Like the DSS
+// estimator it implements only Estimate, so the search path is unchanged.
+type projectionRecorder struct {
+	est        workload.Estimator
+	footprints [][]catalog.ObjectID
+	mu         sync.Mutex
+	seen       map[string]bool
+}
+
+func (r *projectionRecorder) Estimate(l catalog.Layout) (workload.Metrics, error) {
+	r.mu.Lock()
+	for i, objs := range r.footprints {
+		key := []byte{byte(i)}
+		for _, id := range objs {
+			key = append(key, byte(l[id]))
+		}
+		r.seen[string(key)] = true
+	}
+	r.mu.Unlock()
+	return r.est.Estimate(l)
 }
 
 // BenchmarkAblation_MovePolicy compares the move-application policies of

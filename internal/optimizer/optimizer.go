@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dotprov/internal/catalog"
@@ -226,6 +227,32 @@ func connector(q *plan.Query, joined map[string]bool, name string) (outer plan.C
 	return plan.ColRef{}, "", false
 }
 
+// Footprint lists the objects a plan for q can charge I/O to: each of
+// q.Tables' heaps followed by its indexes, in q.Tables order, each object
+// once. A plan's cost depends on the layout only through the classes of
+// these objects, so two layouts that agree on them yield the same plan.
+// When a table has no statistics, Footprint returns the objects of the
+// tables before it together with the error.
+func (o *Optimizer) Footprint(q *plan.Query) ([]catalog.ObjectID, error) {
+	var objs []catalog.ObjectID
+	add := func(id catalog.ObjectID) {
+		if !slices.Contains(objs, id) {
+			objs = append(objs, id)
+		}
+	}
+	for _, name := range q.Tables {
+		ti, ok := o.Tables[name]
+		if !ok {
+			return objs, fmt.Errorf("optimizer: no statistics for table %q (run Analyze)", name)
+		}
+		add(ti.ID)
+		for _, ix := range ti.Indexes {
+			add(ix.ID)
+		}
+	}
+	return objs, nil
+}
+
 // Plan produces the cheapest physical plan for the query under the given
 // layout, together with its Estimate (rows, per-object I/O profile, I/O and
 // CPU time).
@@ -235,20 +262,17 @@ func (o *Optimizer) Plan(q *plan.Query, layout catalog.Layout) (*plan.Plan, erro
 	}
 	p := &planner{o: o, layout: layout, svc: make(map[catalog.ObjectID]*[device.NumIOTypes]time.Duration)}
 	// Preflight: resolve every object the query may touch so that charge()
-	// cannot encounter an unplaced object mid-enumeration.
-	for _, name := range q.Tables {
-		ti, ok := o.Tables[name]
-		if !ok {
-			return nil, fmt.Errorf("optimizer: no statistics for table %q (run Analyze)", name)
-		}
-		if _, err := p.resolve(ti.ID); err != nil {
+	// cannot encounter an unplaced object mid-enumeration. The objects a
+	// footprint lists before a table without statistics resolve first, so
+	// the first error is the one a table-by-table walk would meet.
+	objs, ferr := o.Footprint(q)
+	for _, id := range objs {
+		if _, err := p.resolve(id); err != nil {
 			return nil, err
 		}
-		for _, ix := range ti.Indexes {
-			if _, err := p.resolve(ix.ID); err != nil {
-				return nil, err
-			}
-		}
+	}
+	if ferr != nil {
+		return nil, ferr
 	}
 
 	// Best access path per table.

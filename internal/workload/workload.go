@@ -10,12 +10,16 @@ package workload
 
 import (
 	"fmt"
+	"math"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"dotprov/internal/catalog"
 	"dotprov/internal/device"
 	"dotprov/internal/engine"
 	"dotprov/internal/iosim"
+	"dotprov/internal/optimizer"
 	"dotprov/internal/plan"
 )
 
@@ -35,12 +39,14 @@ type Metrics struct {
 //
 // Concurrency contract: the search engine fans candidate evaluations out
 // across a worker pool, so Estimate must be safe for concurrent use by
-// multiple goroutines once estimation starts. In practice this means
-// Estimate must not mutate shared state: the estimators in this repository
-// (ObservedEstimator, ProfileEstimator, and the DSS re-planning estimator)
-// all guarantee it by being pure readers of statistics frozen at
-// construction/Analyze time. Implementations that cannot meet the contract
-// must be driven with Workers <= 1.
+// multiple goroutines once estimation starts. ObservedEstimator and
+// ProfileEstimator meet it by being pure readers of statistics frozen at
+// construction; the DSS estimator (DSS.Estimator) reads the engine's
+// optimizer and writes only its own synchronized plan memo. The engine
+// state an estimator reads must not change during estimation: neither
+// Analyze nor SetConcurrency (which every DSS.Run and OLTP.Run calls) may
+// run concurrently with Estimate. Implementations that cannot meet the
+// contract must be driven with Workers <= 1.
 type Estimator interface {
 	Estimate(l catalog.Layout) (Metrics, error)
 }
@@ -258,32 +264,223 @@ func (e *ObservedEstimator) Estimate(l catalog.Layout) (Metrics, error) {
 
 // Estimator returns the extended-optimizer estimator for this workload:
 // per-query times come from planning each query under the candidate layout
-// (paper §3.5). The estimator re-plans per layout, so plan changes (e.g. HJ
-// -> INLJ) are reflected in the estimates. Planning keeps all per-call
-// state on the stack (optimizer.Plan is a pure reader of the Analyze-time
-// statistics), so Estimate is safe for concurrent use as long as nothing
-// re-runs Analyze or SetLayout concurrently.
+// (paper §3.5), so plan changes (e.g. HJ -> INLJ) are reflected in the
+// estimates. A plan depends on the layout only through the classes of the
+// objects its query can touch (optimizer.Footprint), so the estimator
+// memoizes each query's plan time by that projection and plans a query
+// only under a projection it has not seen; estimates are bit-identical to
+// re-planning every query.
+//
+// The memo is synchronized, so Estimate is safe for concurrent use. It
+// belongs to one optimizer generation: when db.Analyze swaps the optimizer
+// or db.SetConcurrency changes its degree of concurrency (as every DSS.Run
+// and OLTP.Run does), the next Estimate starts a fresh memo. Neither may
+// run concurrently with Estimate.
 func (w *DSS) Estimator(db *engine.DB) Estimator {
 	return &dssEstimator{db: db, w: w}
 }
 
 type dssEstimator struct {
-	db *engine.DB
-	w  *DSS
+	db   *engine.DB
+	w    *DSS
+	memo atomic.Pointer[planMemo]
 }
 
 func (e *dssEstimator) Estimate(l catalog.Layout) (Metrics, error) {
+	memo := e.currentMemo()
+	var digits []uint8
+	if memo != nil {
+		digits = memo.digits(l)
+	}
 	m := Metrics{PerQuery: make([]time.Duration, 0, len(e.w.Queries))}
-	for _, q := range e.w.Queries {
-		pl, err := e.db.PlanUnder(q, l)
+	for i, q := range e.w.Queries {
+		t, err := e.planTime(memo, digits, i, q, l)
 		if err != nil {
 			return Metrics{}, err
 		}
-		t := pl.Est.Time()
 		m.PerQuery = append(m.PerQuery, t)
 		m.Elapsed += t
 	}
 	return m, nil
+}
+
+// planTime returns query i's estimated time under l: from the memo when
+// its projection has been planned, else by planning it. Layouts the memo
+// cannot key (an object unplaced, a class absent from the box) always
+// plan, so they fail with the planner's own error; errors are never
+// memoized.
+func (e *dssEstimator) planTime(memo *planMemo, digits []uint8, i int, q *plan.Query, l catalog.Layout) (time.Duration, error) {
+	var qm *queryMemo
+	var key uint64
+	if memo != nil {
+		if k, ok := memo.queries[i].key(digits, memo.radix); ok {
+			qm, key = &memo.queries[i], k
+			if t, ok := qm.get(key); ok {
+				return t, nil
+			}
+		}
+	}
+	pl, err := e.db.PlanUnder(q, l)
+	if err != nil {
+		return 0, err
+	}
+	t := pl.Est.Time()
+	if qm != nil {
+		qm.put(key, t)
+	}
+	return t, nil
+}
+
+// currentMemo returns the memo of the DB's current optimizer generation,
+// replacing a stale one; nil when the DB has no optimizer yet.
+func (e *dssEstimator) currentMemo() *planMemo {
+	opt := e.db.Optimizer()
+	if opt == nil {
+		return nil
+	}
+	cur := e.memo.Load()
+	if cur != nil && cur.opt == opt && cur.conc == opt.Concurrency {
+		return cur
+	}
+	fresh := newPlanMemo(opt, e.w.Queries)
+	if e.memo.CompareAndSwap(cur, fresh) {
+		return fresh
+	}
+	// Another goroutine installed a memo first; use it if it is current.
+	return e.currentMemo()
+}
+
+// denseMemoMax is the largest per-query projection space (M^k keys) kept
+// as a dense table; larger spaces use a map holding only the keys seen.
+const denseMemoMax = 1 << 14
+
+// noDigit marks an object the layout does not place on a class of the box.
+const noDigit = math.MaxUint8
+
+// planMemo is the per-query plan-time memo of one optimizer generation.
+// A query's key is the mixed-radix number whose digits are the box-class
+// indexes of its footprint objects under the layout.
+type planMemo struct {
+	opt   *optimizer.Optimizer
+	conc  int
+	radix uint64 // M, the number of classes in the box
+	// digitOf maps a class to its index in the box, noDigit when absent.
+	digitOf [device.NumClasses]uint8
+	// objs is the union of the queries' footprints; a query's footprint
+	// is a list of positions in it.
+	objs    []catalog.ObjectID
+	queries []queryMemo
+}
+
+// queryMemo holds one query's plan times. A query whose footprint cannot
+// be resolved, or whose key space overflows, has pos == nil and always
+// plans.
+type queryMemo struct {
+	pos   []int
+	dense []atomic.Int64 // plan time + 1 per key; 0 = not yet planned
+	mu    sync.RWMutex
+	// sparse replaces dense when the key space exceeds denseMemoMax.
+	sparse map[uint64]time.Duration
+}
+
+func newPlanMemo(opt *optimizer.Optimizer, queries []*plan.Query) *planMemo {
+	m := &planMemo{opt: opt, conc: opt.Concurrency, queries: make([]queryMemo, len(queries))}
+	for i := range m.digitOf {
+		m.digitOf[i] = noDigit
+	}
+	for _, c := range opt.Box.Classes() {
+		if device.ValidClass(c) && m.digitOf[c] == noDigit {
+			m.digitOf[c] = uint8(m.radix)
+			m.radix++
+		}
+	}
+	if m.radix == 0 {
+		return m
+	}
+	index := make(map[catalog.ObjectID]int)
+	for i, q := range queries {
+		objs, err := opt.Footprint(q)
+		if err != nil {
+			continue
+		}
+		size := uint64(1)
+		for range objs {
+			if size > math.MaxUint64/m.radix {
+				size = 0
+				break
+			}
+			size *= m.radix
+		}
+		if size == 0 {
+			continue
+		}
+		qm := &m.queries[i]
+		qm.pos = make([]int, 0, len(objs))
+		for _, id := range objs {
+			p, ok := index[id]
+			if !ok {
+				p = len(m.objs)
+				index[id] = p
+				m.objs = append(m.objs, id)
+			}
+			qm.pos = append(qm.pos, p)
+		}
+		if size <= denseMemoMax {
+			qm.dense = make([]atomic.Int64, size)
+		} else {
+			qm.sparse = make(map[uint64]time.Duration)
+		}
+	}
+	return m
+}
+
+// digits resolves the layout's digit for every footprint object, noDigit
+// where the layout omits the object or uses a class outside the box.
+func (m *planMemo) digits(l catalog.Layout) []uint8 {
+	d := make([]uint8, len(m.objs))
+	for i, id := range m.objs {
+		d[i] = noDigit
+		if c, ok := l[id]; ok && device.ValidClass(c) {
+			d[i] = m.digitOf[c]
+		}
+	}
+	return d
+}
+
+func (qm *queryMemo) key(digits []uint8, radix uint64) (uint64, bool) {
+	if qm.pos == nil {
+		return 0, false
+	}
+	var k uint64
+	for _, p := range qm.pos {
+		d := digits[p]
+		if d == noDigit {
+			return 0, false
+		}
+		k = k*radix + uint64(d)
+	}
+	return k, true
+}
+
+func (qm *queryMemo) get(key uint64) (time.Duration, bool) {
+	if qm.dense != nil {
+		v := qm.dense[key].Load()
+		return time.Duration(v - 1), v != 0
+	}
+	qm.mu.RLock()
+	t, ok := qm.sparse[key]
+	qm.mu.RUnlock()
+	return t, ok
+}
+
+func (qm *queryMemo) put(key uint64, t time.Duration) {
+	if qm.dense != nil {
+		qm.dense[key].Store(int64(t) + 1)
+		return
+	}
+	qm.mu.Lock()
+	qm.sparse[key] = t
+	qm.mu.Unlock()
 }
 
 // EstimateProfile returns the per-object I/O profile the optimizer predicts

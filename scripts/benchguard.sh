@@ -63,7 +63,14 @@
 #      per advise — every unit choosing a class set costs at most 2.5x
 #      the single-class scale contract of gate 6. The map/compiled count
 #      parity of check 1 covers the replicated sweep via the same pair
-#      naming.
+#      naming; and
+#
+#  11. the cold §4.4.3 exhaustive search on the plan-aware DSS estimator
+#      (BenchmarkSec443Exhaustive) walks all 3^8 = 6561 layouts and needs
+#      at most 5,913 plans — one per query per distinct projection of the
+#      layout onto the objects that query can touch, not one per query per
+#      layout (216,513). More plans means the per-query memo stopped
+#      keying on the footprint projection.
 #
 # BENCHTIME controls -benchtime (default 1x: CI smoke; use e.g. 20x for a
 # recorded snapshot). INGEST_BENCHTIME controls the collector-ingest run,
@@ -77,7 +84,7 @@ benchtime="${BENCHTIME:-1x}"
 ingest_benchtime="${INGEST_BENCHTIME:-1s}"
 
 raw=$(go test -run '^$' \
-  -bench 'BenchmarkDOTOptimize|BenchmarkExhaustive$|BenchmarkExhaustivePruned|BenchmarkExhaustiveBnB|BenchmarkIOTimeCompiledVsMap|BenchmarkMemoKey|BenchmarkReAdvise|BenchmarkObjectGranularDOT|BenchmarkPartitionedDOT|BenchmarkReplicatedBnB|BenchmarkPartitionedReplicatedDOT' \
+  -bench 'BenchmarkDOTOptimize|BenchmarkExhaustive$|BenchmarkExhaustivePruned|BenchmarkExhaustiveBnB|BenchmarkIOTimeCompiledVsMap|BenchmarkMemoKey|BenchmarkReAdvise|BenchmarkObjectGranularDOT|BenchmarkPartitionedDOT|BenchmarkReplicatedBnB|BenchmarkPartitionedReplicatedDOT|BenchmarkSec443Exhaustive' \
   -benchmem -benchtime "$benchtime" .)
 raw_ingest=$(go test -run '^$' \
   -bench 'BenchmarkCollectorIngest' -benchtime "$ingest_benchtime" .)
@@ -98,7 +105,7 @@ echo "$raw" | awk -v cpus="$(nproc)" '
   rec = "{\"name\":\"" name "\",\"iterations\":" $2
   for (i=3; i<NF; i++) {
     u=$(i+1)
-    if (u=="ns/op" || u=="B/op" || u=="allocs/op" || u=="est-calls" || u=="evaluated" || u=="microcents-storage" || u=="pruned" || u=="units" || u=="charges/s" || u=="frames/s") {
+    if (u=="ns/op" || u=="B/op" || u=="allocs/op" || u=="est-calls" || u=="evaluated" || u=="microcents-storage" || u=="pruned" || u=="units" || u=="charges/s" || u=="frames/s" || u=="plans/op" || u=="ns/candidate") {
       key=u; gsub(/\//, "_per_", key); gsub(/-/, "_", key)
       rec = rec ",\"" key "\":" $i
       i++
@@ -319,4 +326,21 @@ END {
   if (!found) { print "benchguard: BenchmarkPartitionedReplicatedDOT/compiled missing — benchmark names changed?"; exit 1 }
   if (ns+0 >= 2.5e8) { printf("REGRESSION: 500-unit replicated partitioned advise took %s ns/op (budget 2.5e8)\n", ns); exit 1 }
   printf("benchguard OK: 500-unit replicated partitioned advise at %s ns/op (budget 2.5e8)\n", ns)
+}'
+
+# Gate 11: the cold §4.4.3 exhaustive search walks all 6561 layouts with at
+# most 5,913 plans.
+echo "$raw" | awk '
+/^BenchmarkSec443Exhaustive/ {
+  for (i=3; i<NF; i++) {
+    if ($(i+1)=="plans/op") plans=$i
+    if ($(i+1)=="evaluated") ev=$i
+  }
+  found=1
+}
+END {
+  if (!found || plans=="" || ev=="") { print "benchguard: BenchmarkSec443Exhaustive plans/op or evaluated missing — benchmark names changed?"; exit 1 }
+  if (ev+0 != 6561) { printf("REGRESSION: Sec 4.4.3 exhaustive search evaluated %s layouts (want 3^8 = 6561)\n", ev); exit 1 }
+  if (plans+0 > 5913) { printf("REGRESSION: Sec 4.4.3 exhaustive search needed %s plans (budget 5913)\n", plans); exit 1 }
+  printf("benchguard OK: Sec 4.4.3 exhaustive search evaluated %s layouts with %s plans (budget 5913)\n", ev, plans)
 }'
